@@ -80,8 +80,10 @@ pub struct Verdict {
     pub manifest: Vec<(String, String)>,
 }
 
-/// The current process's manifest fields, captured once (the capture
-/// shells out to `git`/`rustc`; a warm cache hit must not pay that).
+/// The current process's manifest fields, captured once: every verdict
+/// a process produces carries the same provenance, including the first
+/// capture's `started_unix_ms` (the `git`/`rustc` probes are memoized by
+/// the capture itself).
 fn process_manifest() -> &'static Vec<(String, String)> {
     static FIELDS: OnceLock<Vec<(String, String)>> = OnceLock::new();
     FIELDS.get_or_init(|| {

@@ -1,7 +1,12 @@
 //! The [`RunManifest`]: provenance captured once at run start so every
 //! trace file and `results/*.json` row records what produced it.
+//!
+//! The toolchain probes (`git rev-parse HEAD`, `rustc -V`) spawn a
+//! process each, so they run once per process and are memoized; every
+//! other field is read fresh on each [`RunManifest::capture`].
 
 use crate::event::{write_json_string, Event, EventKind};
+use std::sync::OnceLock;
 
 /// Schema identifier stamped into every manifest; bump on breaking
 /// changes so stale result files are detectable.
@@ -39,6 +44,15 @@ pub struct RunManifest {
     pub extras: Vec<(String, String)>,
 }
 
+/// `(git_commit, rustc_version)`, probed on first use.
+fn toolchain() -> &'static (String, String) {
+    static PROBED: OnceLock<(String, String)> = OnceLock::new();
+    PROBED.get_or_init(|| {
+        let probe = |bin, args| command_line(bin, args).unwrap_or_else(|| "unknown".into());
+        (probe("git", &["rev-parse", "HEAD"]), probe("rustc", &["-V"]))
+    })
+}
+
 fn command_line(bin: &str, args: &[&str]) -> Option<String> {
     let out = std::process::Command::new(bin).args(args).output().ok()?;
     if !out.status.success() {
@@ -54,15 +68,16 @@ fn command_line(bin: &str, args: &[&str]) -> Option<String> {
 
 impl RunManifest {
     /// Captures the manifest for `tool` from the current environment.
-    /// Never fails: unavailable fields degrade to `"unknown"`.
+    /// Never fails: unavailable fields degrade to `"unknown"`. Only the
+    /// first capture in a process pays for the `git`/`rustc` probes.
     pub fn capture(tool: &str) -> Self {
+        let (git_commit, rustc_version) = toolchain().clone();
         RunManifest {
             schema: MANIFEST_SCHEMA.to_string(),
             tool: tool.to_string(),
             args: std::env::args().skip(1).collect(),
-            git_commit: command_line("git", &["rev-parse", "HEAD"])
-                .unwrap_or_else(|| "unknown".into()),
-            rustc_version: command_line("rustc", &["-V"]).unwrap_or_else(|| "unknown".into()),
+            git_commit,
+            rustc_version,
             available_parallelism: std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(1),
@@ -166,6 +181,20 @@ mod tests {
         assert_eq!(back.kind, EventKind::Manifest);
         assert_eq!(back.attr("tool"), Some("unit-test"));
         assert_eq!(back.attr("schema"), Some(MANIFEST_SCHEMA));
+    }
+
+    #[test]
+    fn toolchain_probes_are_memoized_but_the_rest_is_fresh() {
+        let first = RunManifest::capture("unit-test");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let second = RunManifest::capture("unit-test");
+        assert_eq!(first.git_commit, second.git_commit);
+        assert_eq!(first.rustc_version, second.rustc_version);
+        assert!(
+            second.started_unix_ms > first.started_unix_ms,
+            "each capture stamps its own start time"
+        );
+        assert_eq!(second.args, std::env::args().skip(1).collect::<Vec<_>>());
     }
 
     #[test]

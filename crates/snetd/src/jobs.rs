@@ -39,7 +39,7 @@ use snet_store::ArtifactStore;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// An application-level rejection: the HTTP status to answer with and a
@@ -400,7 +400,8 @@ impl InFlight {
     }
 
     fn fill(&self, outcome: InFlightOutcome) {
-        *self.slot.lock().expect("in-flight slot poisoned") = Some(outcome);
+        // Runs from `Leadership::drop`, possibly mid-unwind: never panic.
+        *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
         self.cv.notify_all();
     }
 
@@ -415,6 +416,39 @@ impl InFlight {
     }
 }
 
+type InFlightMap = Mutex<HashMap<CanonicalHash, Arc<InFlight>>>;
+
+/// A leader's claim on an in-flight slot. Dropping it removes the map
+/// entry, then fills the slot — on every return path and on an unwind,
+/// so a leader that panics after claiming answers its riders with an
+/// error instead of stranding them, and the next identical request
+/// leads afresh. Removal comes first so a request racing completion
+/// becomes a store hit, not a stale rider.
+struct Leadership<'m> {
+    map: &'m InFlightMap,
+    hash: CanonicalHash,
+    flight: Arc<InFlight>,
+    outcome: Option<InFlightOutcome>,
+}
+
+impl Leadership<'_> {
+    /// Hands `outcome` to every rider and releases the slot.
+    fn answer(mut self, outcome: InFlightOutcome) {
+        self.outcome = Some(outcome);
+    }
+}
+
+impl Drop for Leadership<'_> {
+    fn drop(&mut self) {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner).remove(&self.hash);
+        let outcome = self
+            .outcome
+            .take()
+            .unwrap_or_else(|| Err("coalescing leader failed before answering".into()));
+        self.flight.fill(outcome);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The manager
 // ---------------------------------------------------------------------------
@@ -424,7 +458,7 @@ struct ManagerInner {
     routes: Arc<Routes>,
     sink: SinkHandle,
     jobs: Mutex<HashMap<String, Arc<Job>>>,
-    in_flight: Mutex<HashMap<CanonicalHash, Arc<InFlight>>>,
+    in_flight: InFlightMap,
     next_job: AtomicU64,
     draining: AtomicBool,
     /// Search slots in use; guarded by `slot_cv` for queueing.
@@ -543,6 +577,9 @@ impl JobManager {
                 flight.wait().map_err(|e| ApiError { status: 500, message: e })?;
             return Ok(CheckAnswer { cache: CacheState::Coalesced, body, job, hash, trace });
         }
+        let claim = Leadership { map: &self.inner.in_flight, hash, flight, outcome: None };
+        #[cfg(test)]
+        tests::after_claim(&claim.flight);
 
         // Leadership claimed — but a previous leader may have completed
         // (and written the store) between our store miss and our map
@@ -550,8 +587,7 @@ impl JobManager {
         // compiles twice, no matter the interleaving.
         if let Some(store) = &self.inner.cfg.store {
             if let Some((_, bytes)) = store.get_verdict(&hash) {
-                self.inner.in_flight.lock().expect("in-flight map poisoned").remove(&hash);
-                flight.fill(Ok((bytes.clone(), None, None)));
+                claim.answer(Ok((bytes.clone(), None, None)));
                 return Ok(CheckAnswer {
                     cache: CacheState::Hit,
                     body: bytes,
@@ -563,9 +599,7 @@ impl JobManager {
         }
 
         // Leader: run the compile + check inline on this thread under a
-        // job record, then fan the bytes out. The in-flight entry is
-        // removed before filling so a racing identical request after
-        // completion becomes a store hit, not a stale follower.
+        // job record, then fan the bytes out.
         let outcome = match self.create_job("check", ctx) {
             Ok(job) => {
                 let out = self.run_check_leader(&job, net, &hash);
@@ -573,8 +607,7 @@ impl JobManager {
             }
             Err(e) => Err(e.message),
         };
-        self.inner.in_flight.lock().expect("in-flight map poisoned").remove(&hash);
-        flight.fill(outcome.clone());
+        claim.answer(outcome.clone());
         let (body, job, trace) = outcome.map_err(|e| ApiError { status: 500, message: e })?;
         Ok(CheckAnswer { cache: CacheState::Miss, body, job, hash, trace })
     }
@@ -900,5 +933,86 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "job panicked".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snet_core::element::Element;
+    use snet_core::network::Level;
+    use std::cell::Cell;
+    use std::time::Instant;
+
+    thread_local! {
+        /// Arms [`after_claim`] on this thread: the next leader it runs
+        /// panics once a rider has parked on its slot.
+        static PANIC_AFTER_CLAIM: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs right after a leader claims its in-flight slot.
+    pub(super) fn after_claim(flight: &Arc<InFlight>) {
+        if !PANIC_AFTER_CLAIM.with(|armed| armed.replace(false)) {
+            return;
+        }
+        // Map entry + this claim + one rider's clone.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Arc::strong_count(flight) < 3 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("injected fault: leader panics after claiming leadership");
+    }
+
+    fn brick(n: u32) -> ComparatorNetwork {
+        let levels = (0..n)
+            .map(|round| {
+                let first = round % 2;
+                Level::of_elements(
+                    (first..n.saturating_sub(1))
+                        .step_by(2)
+                        .map(|w| Element::cmp(w, w + 1))
+                        .collect(),
+                )
+            })
+            .collect();
+        ComparatorNetwork::new(n as usize, levels).expect("valid brick network")
+    }
+
+    #[test]
+    fn a_leader_panicking_after_its_claim_fails_riders_and_frees_the_slot() {
+        let mgr = JobManager::new(JobsConfig::default());
+        let net = brick(6);
+        let hash = CanonicalHash::of_network(&net);
+
+        let leader = {
+            let (mgr, net) = (mgr.clone(), net.clone());
+            std::thread::spawn(move || {
+                PANIC_AFTER_CLAIM.with(|armed| armed.set(true));
+                mgr.check(&net, &RequestCtx::default())
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !mgr.inner.in_flight.lock().unwrap().contains_key(&hash) {
+            assert!(Instant::now() < deadline, "the leader never claimed the slot");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rider_thread = {
+            let (mgr, net) = (mgr.clone(), net.clone());
+            std::thread::spawn(move || {
+                let _ = tx.send(mgr.check(&net, &RequestCtx::default()));
+            })
+        };
+        let rider = rx.recv_timeout(Duration::from_secs(1)).expect("the parked rider is released");
+        rider_thread.join().expect("the rider thread exits cleanly");
+        assert_eq!(rider.expect_err("the rider gets the leader's failure").status, 500);
+        assert!(leader.join().is_err(), "the leader itself panicked");
+        assert!(mgr.inner.in_flight.lock().unwrap().is_empty(), "the slot is removed");
+
+        let again = mgr.check(&net, &RequestCtx::default()).expect("a later request computes");
+        assert_eq!(again.cache, CacheState::Miss);
+        assert!(Verdict::parse(std::str::from_utf8(&again.body).unwrap()).unwrap().is_sorting());
+        mgr.shutdown();
     }
 }

@@ -20,8 +20,11 @@
 //! ## Shutdown
 //!
 //! `SIGTERM`/`SIGINT` set a process-global flag (the handler does
-//! nothing else — it is async-signal-safe). The accept loop notices
-//! within one poll interval and stops accepting; the job manager drains
+//! nothing else — it is async-signal-safe). The accept loop blocks in
+//! `accept`, which the handler does not interrupt (glibc `signal()`
+//! restarts it), so a waker thread watches the flag and, once it is
+//! set, connects to the listener itself. The loop wakes, sees the flag,
+//! and stops accepting; the job manager drains
 //! (cancelling live jobs, which still spill their search frontiers to
 //! the store); connection workers finish their current exchange and
 //! exit; buffered observations flush. A drained exit is *clean*: the
@@ -39,7 +42,7 @@ use snet_core::api::{AdversaryRequest, CheckRequest, ErrorBody, SearchRequest, A
 use snet_obs::tracectx::TraceContext;
 use snet_store::ArtifactStore;
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -51,6 +54,10 @@ const NDJSON: &str = "application/x-ndjson";
 /// How long a blocked socket read waits before the worker re-checks the
 /// shutdown flag; also bounds how stale an idle keep-alive poll can be.
 const READ_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// How often the accept waker re-checks the shutdown flags: the longest
+/// a drain waits before the blocked `accept` returns.
+const WAKER_POLL: Duration = Duration::from_millis(25);
 
 // ---------------------------------------------------------------------------
 // Signals, without libc: the two handlers the daemon needs, installed
@@ -239,37 +246,68 @@ fn serve_on(listener: TcpListener, cfg: ServeConfig, stop: Arc<AtomicBool>) -> s
         );
     }
 
-    listener.set_nonblocking(true)?;
-    while !stopping(&stop) {
-        match listener.accept() {
+    let waker = spawn_waker(listener.local_addr()?, stop.clone())?;
+    let accepted = loop {
+        let next = listener.accept();
+        // Re-checked after every accept: the waker's own connection (or
+        // any that raced it) is dropped unanswered once draining starts.
+        if stopping(&stop) {
+            break Ok(());
+        }
+        match next {
             Ok((stream, _peer)) => {
                 snet_obs::counter("httpd.connections", 1);
                 let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
                 let _ = stream.set_nodelay(true);
                 if tx.send(stream).is_err() {
-                    break;
+                    break Ok(());
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            Err(e) => break Err(e),
         }
-    }
+    };
 
     // Drain: reject new work and finish what is running (search jobs
     // observe their cancel tokens and spill their TT frontiers), then
     // release the workers and flush observations. Clean exit — the
-    // flight recorder writes nothing.
+    // flight recorder writes nothing. An accept error drains the same
+    // way (the stop flag releases the waker and the workers) and is
+    // then returned.
+    stop.store(true, Ordering::Relaxed);
     manager.shutdown();
     drop(tx);
     for w in workers {
         let _ = w.join();
     }
+    let _ = waker.join();
     snet_obs::remove_sink(capture_sink);
     snet_obs::flush();
-    Ok(())
+    accepted
+}
+
+/// Spawns the accept waker: it sleeps until [`stopping`] turns true,
+/// then makes one connection to `addr` so the accept loop's blocked
+/// `accept` returns and the loop sees the flag. A listener bound to an
+/// unspecified address is reached through loopback of the same family.
+fn spawn_waker(
+    mut addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+) -> std::io::Result<std::thread::JoinHandle<()>> {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    std::thread::Builder::new().name("snetd-waker".into()).spawn(move || {
+        while !stopping(&stop) {
+            std::thread::sleep(WAKER_POLL);
+        }
+        // One connection suffices: if the backlog is already non-empty,
+        // `accept` returns without it.
+        let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+    })
 }
 
 fn connection_worker(

@@ -7,8 +7,9 @@
 //! identical submissions compile exactly once (proved by the `ir.compile`
 //! count in the leader job's manifest); `/v1/search` streams ND-JSON
 //! progress frames to completion; `/metrics` stays valid Prometheus text
-//! while jobs are in flight; and a drain cancels live jobs while leaving
-//! a resumable search spill behind.
+//! while jobs are in flight; a drain cancels live jobs while leaving
+//! a resumable search spill behind; and a drain wakes an accept loop
+//! that no connection has ever reached.
 
 use serde::Value;
 use snet_core::api::{
@@ -506,4 +507,35 @@ fn drain_cancels_live_search_and_leaves_a_resumable_spill() {
     assert!(spill.is_some(), "cancellation preserves the TT spill");
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Shuts `handle` down from a helper thread and fails if the drain does
+/// not return within `limit` (a serve loop left blocked in `accept`
+/// would otherwise hang the test forever).
+fn assert_drains_within(handle: ServerHandle, limit: Duration) {
+    // Give the serve loop time to reach its blocking `accept` (the drain
+    // must wake it there; an earlier shutdown passes trivially).
+    std::thread::sleep(Duration::from_millis(100));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        let _ = tx.send(handle.shutdown());
+    });
+    let drained = rx.recv_timeout(limit).expect("shutdown returns within the limit");
+    drained.expect("drain completes cleanly");
+    stopper.join().expect("the shutdown thread exits cleanly");
+}
+
+#[test]
+fn shutdown_wakes_an_accept_loop_no_client_has_reached() {
+    let (handle, _addr, root) = daemon("idle-drain");
+    assert_drains_within(handle, Duration::from_secs(2));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn shutdown_wakes_a_daemon_bound_to_the_unspecified_address() {
+    let cfg = ServeConfig { addr: "0.0.0.0:0".into(), ..ServeConfig::default() };
+    let handle = spawn(cfg).expect("daemon binds an ephemeral port on every interface");
+    assert!(handle.addr.ip().is_unspecified(), "bound to {}", handle.addr);
+    assert_drains_within(handle, Duration::from_secs(2));
 }
