@@ -82,6 +82,9 @@ impl SortingRefutation {
         if self.input_a.len() != n || self.input_b.len() != n {
             return Err("input width mismatch".into());
         }
+        if w0 as usize >= n || w1 as usize >= n {
+            return Err("wire_pair names a wire the network does not have".into());
+        }
         // 1. Permutation + adjacent-transposition relation.
         let mut sorted = self.input_a.clone();
         sorted.sort_unstable();
@@ -169,6 +172,30 @@ impl SortingRefutation {
                 output_b: self.output_b.clone(),
             },
         )
+    }
+
+    /// The refutation an adversary-witness [`Verdict`] carries (`None`
+    /// for any other kind) — the inverse of [`Self::to_verdict`].
+    pub fn from_verdict(verdict: &Verdict) -> Option<SortingRefutation> {
+        match &verdict.kind {
+            VerdictKind::AdversaryWitness {
+                input_a,
+                input_b,
+                m,
+                wire_a,
+                wire_b,
+                output_a,
+                output_b,
+            } => Some(SortingRefutation {
+                input_a: input_a.clone(),
+                input_b: input_b.clone(),
+                m: *m,
+                wire_pair: (*wire_a, *wire_b),
+                output_a: output_a.clone(),
+                output_b: output_b.clone(),
+            }),
+            _ => None,
+        }
     }
 }
 

@@ -25,11 +25,15 @@ static GLOBAL: snet_obs::alloc::CountingAlloc = snet_obs::alloc::CountingAlloc;
 use exit::exit_flushed;
 use file::{NetworkFile, WitnessFile};
 use rand::SeedableRng;
-use snet_adversary::{refute, theorem41};
-use snet_core::ir::{default_engine_threads, Executor, PassManager};
+use snet_adversary::{refute, theorem41, SortingRefutation};
+use snet_core::api::CacheState;
+use snet_core::ir::{default_engine_threads, CanonicalHash, Executor, PassManager};
+use snet_core::network::ComparatorNetwork;
 use snet_core::perm::Permutation;
-use snet_core::sortcheck::{check_random_permutations, is_sorted};
+use snet_core::sortcheck::{check_random_permutations, is_sorted, SortCheck};
+use snet_core::verdict::Verdict;
 use snet_runtime::{BalancerModel, CountingNetwork, Explorer, Layout};
+use snet_service::verdicts::{self, Question, Resolved, Stored};
 use snet_sorters::{
     bitonic_shuffle, brick_wall, odd_even_mergesort, periodic_balanced, pratt_network,
 };
@@ -350,14 +354,14 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     // program still carries routes and Pass/Swap ops, exercising the
     // generic (routed) backend instead of the flat fast path.
     let no_passes = has_flag(args, "--no-passes");
-    let compile = |net: &snet_core::network::ComparatorNetwork| {
+    let compile = |net: &ComparatorNetwork| {
         if no_passes {
             Executor::compile_raw(net)
         } else {
             Executor::compile(net)
         }
     };
-    if has_flag(args, "--exhaustive") {
+    let result = if has_flag(args, "--exhaustive") {
         if net.wires() > 28 {
             return Err(format!("exhaustive 0-1 check infeasible for n = {}", net.wires()));
         }
@@ -371,25 +375,15 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         // re-canonicalizes, so the raw (`--no-passes`) and canonical
         // compilations of one circuit share an address — and the same
         // exhaustive verdict.
-        let hash = snet_core::ir::CanonicalHash::of_program(exec.program());
-        let (verdict, bytes, hit) = match store.as_ref().and_then(|s| s.get_verdict(&hash)) {
-            Some((verdict, bytes)) => (verdict, bytes, true),
-            None => {
-                let verdict = snet_core::verdict::verdict_zero_one(&exec, threads);
-                let bytes = verdict.to_json().into_bytes();
-                if let Some(store) = &store {
-                    store
-                        .put_verdict(&verdict)
-                        .map_err(|e| format!("cannot write verdict to store: {e}"))?;
-                }
-                (verdict, bytes, false)
-            }
-        };
+        let hash = CanonicalHash::of_program(exec.program());
+        let r = verdicts::resolve(store.as_ref(), Question::Exhaustive, &net, &hash, || {
+            Ok::<_, String>(snet_core::verdict::verdict_zero_one(&exec, threads))
+        })?;
         if store.is_some() {
-            println!("store: {} {hash}", if hit { "hit" } else { "miss" });
+            print_store_line(&r, &hash, "");
             if snet_obs::enabled() {
                 let mut manifest = snet_obs::RunManifest::capture("snetctl-check");
-                manifest.push_extra("store.result", if hit { "hit" } else { "miss" });
+                manifest.push_extra("store.result", r.cache.name());
                 manifest.push_extra("store.hash", hash.to_hex());
                 manifest.emit();
             }
@@ -397,32 +391,13 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         if let Some(out) = flag(args, "--verdict-out") {
             // The stored bytes verbatim: a warm hit re-emits the cold
             // run's artifact byte for byte.
-            std::fs::write(out, &bytes).map_err(|e| format!("{out}: {e}"))?;
+            std::fs::write(out, &r.bytes).map_err(|e| format!("{out}: {e}"))?;
             println!("verdict written to {out}");
         }
-        return match &verdict.kind {
-            snet_core::verdict::VerdictKind::SortCertificate { tested } => {
-                println!("sorted all {tested} tested inputs");
-                Ok(())
-            }
-            snet_core::verdict::VerdictKind::Counterexample { input, output, .. } => {
-                println!("NOT a sorting network");
-                println!("counterexample input : {input:?}");
-                println!("unsorted output      : {output:?}");
-                exit_flushed(exit::CHECK_COUNTEREXAMPLE);
-            }
-            snet_core::verdict::VerdictKind::AdversaryWitness { .. } => {
-                // An adversary verdict proves non-sorting but carries no
-                // 0-1 counterexample; surface it the same way.
-                println!("NOT a sorting network ({})", verdict.summary());
-                exit_flushed(exit::CHECK_COUNTEREXAMPLE);
-            }
-        };
-    }
-    if flag(args, "--verdict-out").is_some() {
+        r.verdict.to_sortcheck().expect("an exhaustive verdict carries a 0-1 check")
+    } else if flag(args, "--verdict-out").is_some() {
         return Err("--verdict-out requires --exhaustive (random trials are not canonical)".into());
-    }
-    let result = {
+    } else {
         let trials: u64 = parse(flag(args, "--trials").unwrap_or("10000"), "--trials")?;
         let seed: u64 = parse(flag(args, "--seed").unwrap_or("0"), "--seed")?;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -433,26 +408,46 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
                 let input: Vec<u32> = Permutation::random(net.wires(), &mut rng).images().to_vec();
                 let output = exec.evaluate(&input);
                 if !is_sorted(&output) {
-                    found = Some(snet_core::sortcheck::SortCheck::Counterexample { input, output });
+                    found = Some(SortCheck::Counterexample { input, output });
                     break;
                 }
             }
-            found.unwrap_or(snet_core::sortcheck::SortCheck::AllSorted { tested: trials })
+            found.unwrap_or(SortCheck::AllSorted { tested: trials })
         } else {
             check_random_permutations(&net, trials, &mut rng)
         }
     };
     match result {
-        snet_core::sortcheck::SortCheck::AllSorted { tested } => {
+        SortCheck::AllSorted { tested } => {
             println!("sorted all {tested} tested inputs");
             Ok(())
         }
-        snet_core::sortcheck::SortCheck::Counterexample { input, output } => {
+        SortCheck::Counterexample { input, output } => {
             println!("NOT a sorting network");
             println!("counterexample input : {input:?}");
             println!("unsorted output      : {output:?}");
             exit_flushed(exit::CHECK_COUNTEREXAMPLE);
         }
+    }
+}
+
+/// Verifies and stores a verdict computed outside `resolve`.
+fn publish(store: &ArtifactStore, net: &ComparatorNetwork, v: Verdict) -> Result<(), String> {
+    let r = verdicts::publish(store, net, v)?;
+    match r.stored {
+        Stored::Failed(e) => eprintln!("store: write failed: {e}"),
+        Stored::Kept => {}
+        _ => println!("store: witness verdict cached under {}", r.verdict.hash),
+    }
+    Ok(())
+}
+
+/// Prints the `store: hit|miss HASH` line of a resolved verdict; a
+/// failed write is a warning on stderr, never a failed command.
+fn print_store_line(r: &Resolved, hash: &CanonicalHash, note: &str) {
+    println!("store: {} {hash}{note}", r.cache.name());
+    if let Stored::Failed(e) = &r.stored {
+        eprintln!("store: write failed: {e}");
     }
 }
 
@@ -467,58 +462,34 @@ fn cmd_refute(args: &[String]) -> Result<(), String> {
     let k: usize = parse(flag(args, "--k").unwrap_or(&l.to_string()), "--k")?;
     let net = ird.to_network();
     let store = resolve_store(args)?;
-    let hash = snet_core::ir::CanonicalHash::of_network(&net);
-    // A cached adversary witness for this canonical form replays without
-    // re-running the adversary; it is still independently re-verified
-    // below, so a stale or forged store entry cannot vouch for itself.
-    let cached = store.as_ref().and_then(|s| s.get_verdict(&hash)).and_then(|(v, _)| {
-        use snet_core::verdict::VerdictKind;
-        match v.kind {
-            VerdictKind::AdversaryWitness {
-                input_a,
-                input_b,
-                m,
-                wire_a,
-                wire_b,
-                output_a,
-                output_b,
-            } => Some(snet_adversary::SortingRefutation {
-                input_a,
-                input_b,
-                m,
-                wire_pair: (wire_a, wire_b),
-                output_a,
-                output_b,
-            }),
-            _ => None,
+    let hash = CanonicalHash::of_network(&net);
+    // A stored witness for this canonical form replays without re-running
+    // the adversary; `resolve` re-verifies it first, so a stale or forged
+    // entry cannot vouch for itself.
+    let resolved = verdicts::resolve(store.as_ref(), Question::Adversary, &net, &hash, || {
+        let out = theorem41(&ird, k);
+        if has_flag(args, "--explain") {
+            print!("{}", out.explain());
         }
-    });
-    let r = match cached {
-        Some(r) => {
-            println!("store: hit {hash} (replaying cached adversary witness)");
-            r
+        println!("adversary: |D| = {} after {} blocks", out.d_set.len(), out.blocks.len());
+        if out.d_set.len() < 2 {
+            println!("no witness available at this depth (the network may sort).");
+            exit_flushed(exit::ADVERSARY_EXHAUSTED);
         }
-        None => {
-            let out = theorem41(&ird, k);
-            if has_flag(args, "--explain") {
-                print!("{}", out.explain());
-            }
-            println!("adversary: |D| = {} after {} blocks", out.d_set.len(), out.blocks.len());
-            if out.d_set.len() < 2 {
-                println!("no witness available at this depth (the network may sort).");
-                exit_flushed(exit::ADVERSARY_EXHAUSTED);
-            }
-            let r = refute(&net, &out.input_pattern).map_err(|e| e.to_string())?;
-            if let Some(store) = &store {
-                store
-                    .put_verdict(&r.to_verdict(&net))
-                    .map_err(|e| format!("cannot write witness verdict to store: {e}"))?;
-                println!("store: miss {hash} (witness verdict cached)");
-            }
-            r
-        }
-    };
-    r.verify(&net).map_err(|e| format!("internal: witness failed verification: {e}"))?;
+        Ok::<_, String>(
+            refute(&net, &out.input_pattern).map_err(|e| e.to_string())?.to_verdict(&net),
+        )
+    })?;
+    if store.is_some() {
+        let note = match (resolved.cache, &resolved.stored) {
+            (CacheState::Hit, _) => " (replaying cached adversary witness)",
+            (_, Stored::Written) => " (witness verdict cached)",
+            (_, Stored::Kept) => " (not cached: the store keeps this network's exhaustive verdict)",
+            _ => "",
+        };
+        print_store_line(&resolved, &hash, note);
+    }
+    let r = SortingRefutation::from_verdict(&resolved.verdict).expect("a witness verdict");
     println!(
         "refuted: values {} and {} are never compared; witness pair differs on wires {:?}",
         r.m,
@@ -612,13 +583,11 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
             outcome.tt_spilled,
             cfg.tt_label()
         );
-        if let (Some(store), Some(v)) = (&cfg.store, &outcome.verdict) {
+        if let (Some(store), Some(net), Some(v)) = (&cfg.store, &outcome.network, &outcome.verdict)
+        {
             // The witness's exhaustive verdict is content-addressed, so a
             // later `check` of the found network is a cache hit.
-            store
-                .put_verdict(v)
-                .map_err(|e| format!("cannot write witness verdict to store: {e}"))?;
-            println!("store: witness verdict cached under {}", v.hash);
+            publish(store, net, v.clone())?;
         }
         if snet_obs::enabled() {
             let mut manifest = snet_obs::RunManifest::capture("snetctl-search");
@@ -1539,11 +1508,7 @@ fn cmd_certify(args: &[String]) -> Result<(), String> {
     let net = ird.to_network();
     let cert = LowerBoundCertificate::from_run(&net, &run)?;
     if let Some(store) = resolve_store(args)? {
-        let verdict = cert.to_verdict();
-        store
-            .put_verdict(&verdict)
-            .map_err(|e| format!("cannot write witness verdict to store: {e}"))?;
-        println!("store: witness verdict cached under {}", verdict.hash);
+        publish(&store, &net, cert.to_verdict())?;
     }
     std::fs::write(out_path, serde_json::to_string_pretty(&cert).map_err(|e| e.to_string())?)
         .map_err(|e| e.to_string())?;

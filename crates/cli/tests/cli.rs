@@ -6,7 +6,8 @@ use std::process::{Command, Output};
 fn snetctl(args: &[&str]) -> Output {
     // Hermetic: an ambient SNET_STORE would add cache traffic (extra
     // `store:` lines, replayed verdicts) to exact-output assertions.
-    // Store behaviour is covered by tests that pass --store explicitly.
+    // Store behaviour is covered by the tests that pass --store explicitly
+    // (the `store stat`, replay, question-kind and write-failure tests).
     Command::new(env!("CARGO_BIN_EXE_snetctl"))
         .env_remove("SNET_STORE")
         .args(args)
@@ -810,6 +811,116 @@ fn store_stat_reports_session_counters() {
     assert!(text.contains("session     : 0 hits / 0 misses"), "{text}");
     assert!(text.contains("hit rate  : n/a"), "{text}");
     assert!(text.contains("bytes out : 0"), "{text}");
+}
+
+/// A fresh, empty store directory.
+fn fresh_store(name: &str) -> String {
+    let dir = tmpfile(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).to_string()
+}
+
+/// The CI store-smoke network: a shuffle-based non-sorter that both the
+/// exhaustive check and the adversary answer, under one canonical hash.
+fn shuffle_non_sorter(name: &str) -> String {
+    let f = tmpfile(name);
+    let out = snetctl(&[
+        "gen",
+        "--kind",
+        "random-shuffle",
+        "--n",
+        "8",
+        "--depth",
+        "3",
+        "--seed",
+        "7",
+        "-o",
+        &f,
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    f
+}
+
+#[test]
+fn exhaustive_check_misses_then_replays_byte_identical_verdict() {
+    let f = tmpfile("replay_bitonic8.json");
+    snetctl(&["gen", "--kind", "bitonic", "--n", "8", "-o", &f]);
+    let store = fresh_store("replay-check-store");
+    let (cold, warm) = (tmpfile("replay_cold.json"), tmpfile("replay_warm.json"));
+    let out = snetctl(&["check", &f, "--exhaustive", "--store", &store, "--verdict-out", &cold]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout(&out).contains("store: miss"), "{}", stdout(&out));
+    let out = snetctl(&["check", &f, "--exhaustive", "--store", &store, "--verdict-out", &warm]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout(&out).contains("store: hit"), "{}", stdout(&out));
+    assert!(stdout(&out).contains("sorted all 256"));
+    assert_eq!(std::fs::read(&cold).unwrap(), std::fs::read(&warm).unwrap());
+}
+
+#[test]
+fn refute_misses_then_replays_the_stored_witness() {
+    let f = shuffle_non_sorter("replay_refute.json");
+    let store = fresh_store("replay-refute-store");
+    let out = snetctl(&["refute", &f, "--store", &store]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout(&out).contains("store: miss"), "{}", stdout(&out));
+    assert!(stdout(&out).contains("witness verdict cached"), "{}", stdout(&out));
+    let out = snetctl(&["refute", &f, "--store", &store]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout(&out).contains("store: hit"), "{}", stdout(&out));
+    assert!(!stdout(&out).contains("adversary: |D|"), "a hit does not rerun the adversary");
+    assert!(stdout(&out).contains("refuted"));
+}
+
+#[test]
+fn refute_neither_answers_nor_evicts_the_exhaustive_verdict() {
+    // One key holds one verdict: the check's counterexample stays, so
+    // check → refute → check replays the first check's bytes, and every
+    // refute on this store computes its own witness.
+    let f = shuffle_non_sorter("kinds_shuffle.json");
+    let store = fresh_store("kinds-store");
+    let (cold, warm) = (tmpfile("kinds_cold.json"), tmpfile("kinds_warm.json"));
+    let out = snetctl(&["check", &f, "--exhaustive", "--store", &store, "--verdict-out", &cold]);
+    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+    for _ in 0..2 {
+        let out = snetctl(&["refute", &f, "--store", &store]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(stdout(&out).contains("store: miss"), "{}", stdout(&out));
+        assert!(stdout(&out).contains("refuted"));
+    }
+    let out = snetctl(&["check", &f, "--exhaustive", "--store", &store, "--verdict-out", &warm]);
+    assert_eq!(out.status.code(), Some(3));
+    assert!(stdout(&out).contains("store: hit"), "{}", stdout(&out));
+    assert!(stdout(&out).contains("counterexample input"), "{}", stdout(&out));
+    assert_eq!(std::fs::read(&cold).unwrap(), std::fs::read(&warm).unwrap());
+}
+
+#[test]
+fn a_failed_store_write_does_not_fail_the_check() {
+    let f = tmpfile("writefail_bitonic8.json");
+    snetctl(&["gen", "--kind", "bitonic", "--n", "8", "-o", &f]);
+    // Learn the entry's hash from a working store.
+    let probe = fresh_store("writefail-probe-store");
+    let out = snetctl(&["check", &f, "--exhaustive", "--store", &probe]);
+    let text = stdout(&out);
+    let hash = text.split_whitespace().skip_while(|w| *w != "miss").nth(1).expect("a hash");
+    // Then take the entry's shard directory path with a regular file,
+    // which fails the write even for root.
+    let store = fresh_store("writefail-store");
+    std::fs::create_dir_all(format!("{store}/objects")).unwrap();
+    std::fs::write(format!("{store}/objects/{}", &hash[..2]), b"not a directory").unwrap();
+    let out = snetctl(&["check", &f, "--exhaustive", "--store", &store]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout(&out).contains("sorted all 256"), "{}", stdout(&out));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("store: write failed"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]

@@ -110,6 +110,8 @@ fn help_for(dotted: &str) -> &'static str {
         "store.bytes" => "Artifact bytes read from or written to the store",
         "store.writes" => "Artifacts written to the store",
         "store.quarantined" => "Corrupt store entries moved aside",
+        "store.rejected" => "Stored verdicts that failed re-verification, read as misses",
+        "store.write_errors" => "Verified verdicts whose store write failed",
         "store.gc.removed" => "Entries removed by store garbage collection",
         "store.disk_bytes" => "On-disk size of the artifact store at last stat",
         "store.disk_entries" => "Entry count of the artifact store at last stat",

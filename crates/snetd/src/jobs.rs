@@ -1,6 +1,6 @@
 //! The job manager: query IDs, a bounded-concurrency scheduler,
-//! coalescing of identical in-flight checks, read-through/write-through
-//! store integration, and per-job progress capture.
+//! coalescing of identical in-flight checks on top of the shared
+//! [`crate::verdicts`] pipeline, and per-job progress capture.
 //!
 //! ## Coalescing
 //!
@@ -8,13 +8,14 @@
 //! computed *without* compiling (lower + canonical passes only, no
 //! `ir.compile` span). Three outcomes, in cost order:
 //!
-//! 1. **warm hit** — the store already holds a verdict for the hash; the
-//!    stored bytes are replayed verbatim, nothing is recompiled;
+//! 1. **warm hit** — `verdicts::lookup` finds a verified verdict for the
+//!    hash; the stored bytes are replayed verbatim, nothing is recompiled;
 //! 2. **coalesced** — an identical request is already in flight; the
 //!    caller blocks on that job and receives the same bytes, so N
 //!    concurrent submissions of one canonical form compile exactly once;
-//! 3. **miss** — this request leads: it compiles (the only `ir.compile`
-//!    span), checks, persists, and fans the bytes out to any followers.
+//! 3. **miss** — this request leads: [`verdicts::resolve`] looks again,
+//!    then compiles (the only `ir.compile` span), checks, verifies and
+//!    persists, and the bytes fan out to any followers.
 //!
 //! ## Progress capture
 //!
@@ -27,6 +28,7 @@
 //! never calls back into the obs API.
 
 use crate::telemetry::RequestCtx;
+use crate::verdicts::{self, Question, Stored};
 use serde::{Number, Serialize, Value};
 use snet_core::api::{AdversaryRequest, ProgressFrame, SearchRequest};
 use snet_core::api::{CacheState, FrameKind, JobState, JobStatus, API_SCHEMA};
@@ -59,6 +61,13 @@ impl ApiError {
 
     fn draining() -> ApiError {
         ApiError { status: 503, message: "service is draining; not accepting new work".into() }
+    }
+}
+
+/// An internal failure: `500`.
+impl From<String> for ApiError {
+    fn from(message: String) -> ApiError {
+        ApiError { status: 500, message }
     }
 }
 
@@ -382,12 +391,9 @@ impl Job {
 // Coalescing
 // ---------------------------------------------------------------------------
 
-/// `Ok((bytes, job, trace))`: the leader's verdict bytes, plus its job
-/// id and hex trace id when a job actually ran (a leader that lost the
-/// race to a just-completed store write replays the stored bytes
-/// jobless and traceless). The trace lets coalesced followers link to
-/// the leader's compile trace.
-type InFlightOutcome = Result<(Vec<u8>, Option<String>, Option<String>), String>;
+/// The leader's answer; its trace lets coalesced followers link to the
+/// leader's compile trace.
+type InFlightOutcome = Result<CheckAnswer, String>;
 
 struct InFlight {
     slot: Mutex<Option<InFlightOutcome>>,
@@ -547,16 +553,11 @@ impl JobManager {
         // passes as the executor, so a warm entry keyed by a previous
         // compile is found here with no `ir.compile` span.
         let hash = CanonicalHash::of_network(net);
-        if let Some(store) = &self.inner.cfg.store {
-            if let Some((_, bytes)) = store.get_verdict(&hash) {
-                return Ok(CheckAnswer {
-                    cache: CacheState::Hit,
-                    body: bytes,
-                    job: None,
-                    hash,
-                    trace: None,
-                });
-            }
+        let store = self.store();
+        if let Some((_, body)) =
+            store.and_then(|s| verdicts::lookup(s, Question::Exhaustive, net, &hash))
+        {
+            return Ok(CheckAnswer { cache: CacheState::Hit, body, job: None, hash, trace: None });
         }
 
         let (flight, leading) = {
@@ -573,78 +574,56 @@ impl JobManager {
 
         if !leading {
             snet_obs::counter("jobs.coalesced", 1);
-            let (body, job, trace) =
-                flight.wait().map_err(|e| ApiError { status: 500, message: e })?;
-            return Ok(CheckAnswer { cache: CacheState::Coalesced, body, job, hash, trace });
+            let answer = flight.wait()?;
+            return Ok(CheckAnswer { cache: CacheState::Coalesced, ..answer });
         }
         let claim = Leadership { map: &self.inner.in_flight, hash, flight, outcome: None };
         #[cfg(test)]
         tests::after_claim(&claim.flight);
 
         // Leadership claimed — but a previous leader may have completed
-        // (and written the store) between our store miss and our map
-        // insert. Re-check before compiling so one canonical form never
-        // compiles twice, no matter the interleaving.
-        if let Some(store) = &self.inner.cfg.store {
-            if let Some((_, bytes)) = store.get_verdict(&hash) {
-                claim.answer(Ok((bytes.clone(), None, None)));
-                return Ok(CheckAnswer {
-                    cache: CacheState::Hit,
-                    body: bytes,
-                    job: None,
-                    hash,
-                    trace: None,
-                });
+        // (and written the store) between our lookup and our map insert.
+        // `resolve` looks again before computing, so one canonical form
+        // never compiles twice, no matter the interleaving. On a miss the
+        // leader computes inline on this thread under a job record.
+        let mut job = None;
+        let resolved = verdicts::resolve(store, Question::Exhaustive, net, &hash, || {
+            self.compute_check(job.insert(self.create_job("check", ctx)?), net)
+        });
+        let answer = match (resolved, job) {
+            (Ok(r), Some(job)) => {
+                if let Stored::Failed(e) = &r.stored {
+                    // The answer is still good; only the cache write failed.
+                    job.obs.push(FrameKind::Log { message: format!("store write failed: {e}") });
+                }
+                let result = self.check_result_value(&job, &hash, &r.verdict);
+                job.finish(JobState::Done, Some(result), None);
+                let (job, trace) = (Some(job.id.clone()), ctx.trace_hex.clone());
+                Ok(CheckAnswer { cache: r.cache, body: r.bytes, job, hash, trace })
             }
-        }
-
-        // Leader: run the compile + check inline on this thread under a
-        // job record, then fan the bytes out.
-        let outcome = match self.create_job("check", ctx) {
-            Ok(job) => {
-                let out = self.run_check_leader(&job, net, &hash);
-                out.map(|body| (body, Some(job.id.clone()), ctx.trace_hex.clone()))
+            // A just-finished leader's entry answered: no job ran.
+            (Ok(r), None) => {
+                Ok(CheckAnswer { cache: r.cache, body: r.bytes, job: None, hash, trace: None })
             }
-            Err(e) => Err(e.message),
+            (Err(e), job) => {
+                if let Some(job) = job {
+                    job.finish(JobState::Failed, None, Some(e.message.clone()));
+                }
+                Err(e)
+            }
         };
-        claim.answer(outcome.clone());
-        let (body, job, trace) = outcome.map_err(|e| ApiError { status: 500, message: e })?;
-        Ok(CheckAnswer { cache: CacheState::Miss, body, job, hash, trace })
+        claim.answer(answer.clone().map_err(|e| e.message));
+        answer
     }
 
-    fn run_check_leader(
-        &self,
-        job: &Arc<Job>,
-        net: &ComparatorNetwork,
-        hash: &CanonicalHash,
-    ) -> Result<Vec<u8>, String> {
+    /// The leader's compute: compile (the one `ir.compile` span) and
+    /// check, with the thread's events routed to the job.
+    fn compute_check(&self, job: &Arc<Job>, net: &ComparatorNetwork) -> Result<Verdict, ApiError> {
         job.set_running();
-        let guard = RouteGuard::register(&self.inner.routes, &job.obs);
+        let _route = RouteGuard::register(&self.inner.routes, &job.obs);
         let threads = self.inner.cfg.check_threads.max(1);
-        let computed = catch_unwind(AssertUnwindSafe(|| {
-            let exec = Executor::compile(net); // the one `ir.compile` span
-            verdict_zero_one(&exec, threads)
-        }));
-        drop(guard);
-        let verdict: Verdict = match computed {
-            Ok(v) => v,
-            Err(panic) => {
-                let msg = panic_message(panic);
-                job.finish(JobState::Failed, None, Some(msg.clone()));
-                return Err(msg);
-            }
-        };
-        debug_assert_eq!(&verdict.hash, hash, "of_network and of_program must agree");
-        let body = verdict.to_json().into_bytes();
-        if let Some(store) = &self.inner.cfg.store {
-            if let Err(e) = store.put_verdict(&verdict) {
-                // The answer is still good; only the cache write failed.
-                job.obs.push(FrameKind::Log { message: format!("store write failed: {e}") });
-            }
-        }
-        let result = self.check_result_value(job, hash, &verdict);
-        job.finish(JobState::Done, Some(result), None);
-        Ok(body)
+        catch_unwind(AssertUnwindSafe(|| verdict_zero_one(&Executor::compile(net), threads)))
+            .map_err(|panic| panic_message(panic).into())
     }
 
     /// The check job's result document: the verdict summary plus a run
@@ -771,6 +750,17 @@ impl JobManager {
         drop(guard);
         match outcome {
             Ok(out) => {
+                if let (Some(store), Some(net), Some(v)) =
+                    (self.store(), &out.network, &out.verdict)
+                {
+                    // A later check of the found network is a cache hit.
+                    if let Ok(Stored::Failed(e)) | Err(e) =
+                        verdicts::publish(store, net, v.clone()).map(|r| r.stored)
+                    {
+                        job.obs
+                            .push(FrameKind::Log { message: format!("store write failed: {e}") });
+                    }
+                }
                 let state = if out.cancelled { JobState::Cancelled } else { JobState::Done };
                 // A cancelled search still reports its partial totals and
                 // spill — the frontier it persisted is resumable.
@@ -790,7 +780,7 @@ impl JobManager {
     // -- /v1/adversary -----------------------------------------------------
 
     /// Answers an adversary request inline: builds the shuffle network,
-    /// replays a cached witness verdict when the store has one, or runs
+    /// replays a verified witness verdict when the store has one, or runs
     /// Theorem 4.1 and caches the refutation it finds.
     pub fn adversary(
         &self,
@@ -821,51 +811,25 @@ impl JobManager {
         let ird = shuffle.to_iterated_reverse_delta();
         let net = ird.to_network();
         let hash = CanonicalHash::of_network(&net);
-
-        // A cached adversary witness replays verbatim; like the CLI, a
-        // cached verdict of a different kind is ignored rather than
-        // misreported.
-        if let Some(store) = &self.inner.cfg.store {
-            if let Some((v, bytes)) = store.get_verdict(&hash) {
-                if matches!(v.kind, snet_core::verdict::VerdictKind::AdversaryWitness { .. }) {
-                    return Ok(CheckAnswer {
-                        cache: CacheState::Hit,
-                        body: bytes,
-                        job: None,
-                        hash,
-                        trace: None,
-                    });
-                }
+        let r = verdicts::resolve(self.store(), Question::Adversary, &net, &hash, || {
+            let out = snet_adversary::theorem41(&ird, k);
+            if out.d_set.len() < 2 {
+                return Err(ApiError::unprocessable(format!(
+                    "adversary exhausted: |D| = {} after {} blocks — no witness at this depth \
+                     (the network may sort)",
+                    out.d_set.len(),
+                    out.blocks.len()
+                )));
             }
-        }
-
-        let out = snet_adversary::theorem41(&ird, k);
-        if out.d_set.len() < 2 {
-            return Err(ApiError::unprocessable(format!(
-                "adversary exhausted: |D| = {} after {} blocks — no witness at this depth \
-                 (the network may sort)",
-                out.d_set.len(),
-                out.blocks.len()
-            )));
-        }
-        let refutation = snet_adversary::refute(&net, &out.input_pattern)
-            .map_err(|e| ApiError { status: 500, message: format!("refute failed: {e:?}") })?;
-        refutation.verify(&net).map_err(|e| ApiError {
-            status: 500,
-            message: format!("internal: witness failed verification: {e}"),
+            let refutation = snet_adversary::refute(&net, &out.input_pattern)
+                .map_err(|e| format!("refute failed: {e:?}"))?;
+            Ok(refutation.to_verdict(&net))
         })?;
-        let verdict = refutation.to_verdict(&net);
-        let body = verdict.to_json().into_bytes();
-        if let Some(store) = &self.inner.cfg.store {
-            let _ = store.put_verdict(&verdict);
+        if let Stored::Failed(e) = &r.stored {
+            eprintln!("snetd: store write failed: {e}");
         }
-        Ok(CheckAnswer {
-            cache: CacheState::Miss,
-            body,
-            job: None,
-            hash,
-            trace: ctx.trace_hex.clone(),
-        })
+        let trace = if r.cache == CacheState::Miss { ctx.trace_hex.clone() } else { None };
+        Ok(CheckAnswer { cache: r.cache, body: r.bytes, job: None, hash, trace })
     }
 
     // -- lifecycle ---------------------------------------------------------

@@ -18,13 +18,14 @@
 //! | `GET /healthz`        | liveness + drain state |
 //!
 //! The interesting machinery is in [`jobs`]: content-addressed request
-//! coalescing (N identical in-flight checks compile once), read-through/
-//! write-through [`snet_store`] caching (a warm hit replays the stored
-//! verdict bytes verbatim — responses are byte-identical across
-//! cold/warm/coalesced), and per-job progress capture routed from
-//! [`snet_obs`] events. [`server`] adds the bounded worker pool and the
-//! SIGTERM graceful drain; [`http`] is the hand-rolled wire layer;
-//! [`client`] is the matching blocking client `snetctl query` uses.
+//! coalescing (N identical in-flight checks compile once) on top of
+//! [`verdicts`], the store read-through/compute/write-through pipeline
+//! `snetctl` shares (a warm hit replays the stored verdict bytes
+//! verbatim — responses are byte-identical across cold/warm/coalesced),
+//! and per-job progress capture routed from [`snet_obs`] events.
+//! [`server`] adds the bounded worker pool and the SIGTERM graceful
+//! drain; [`http`] is the hand-rolled wire layer; [`client`] is the
+//! matching blocking client `snetctl query` uses.
 //!
 //! [`telemetry`] threads a trace context through all of it: an
 //! `x-snet-trace` request header (or a fresh server-side id when
@@ -39,6 +40,7 @@ pub mod http;
 pub mod jobs;
 pub mod server;
 pub mod telemetry;
+pub mod verdicts;
 
 pub use http::Limits;
 pub use jobs::{ApiError, CheckAnswer, FramePoll, Job, JobManager, JobsConfig};

@@ -26,7 +26,7 @@
 //! Writes are crash-safe: the entry is written to a hidden temp file in
 //! the same shard directory, fsynced, then atomically renamed into
 //! place. Readers that find a malformed header, a length mismatch, or a
-//! failing FNV-1a checksum move the entry to `quarantine/` and report a
+//! failing checksum ([`fnv1a`]) move the entry to `quarantine/` and report a
 //! miss — corruption costs a recompute, never an abort.
 //!
 //! ## Eviction
@@ -70,8 +70,12 @@ pub const KIND_VERDICT: &str = "verdict";
 /// Entry kind for transposition-table spills ([`crate::tt`]).
 pub const KIND_TT_FACTS: &str = "tt-facts";
 
-/// FNV-1a 64 over the payload — an integrity check against torn or
-/// bit-rotted entries (the content hash already guards identity).
+/// An FNV-1a-style 64-bit hash over the payload — an integrity check
+/// against torn or bit-rotted entries (the content hash already guards
+/// identity). It keeps FNV-1a's offset basis and xor-then-multiply
+/// round, but its multiplier is `0x1000_0000_01b3`, not the FNV prime
+/// `0x100_0000_01b3`. The constant stays: every stored entry's checksum
+/// was computed with it, so changing it would quarantine them all.
 pub fn fnv1a(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {
