@@ -4,10 +4,10 @@
 //! deliberate baseline the IR is measured against), and exhaustive 0-1
 //! checking (seed scalar scan vs compiled 64-lane sharded checker).
 //!
-//! `snet-bench/src/bin/engine_baseline.rs` runs the check scenarios once
-//! and records them to `results/engine_baseline.json`;
-//! `snet-bench/src/bin/ir_passes.rs` records the per-pass table to
-//! `results/ir_passes.json`.
+//! `snetctl bench run engine` runs the check scenarios once and records
+//! them to `results/baselines/engine.json`; `snetctl bench run
+//! ir_passes` records the per-pass table to
+//! `results/baselines/ir_passes.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use snet_analysis::Workload;
@@ -48,7 +48,7 @@ fn bench_passes(c: &mut Criterion) {
     // Pipeline cost per pass: the canonical pipeline on the raw program,
     // then each optimizing pass on a canonically-normalized base. Depth
     // and size before/after are reported once per network on stderr (the
-    // JSON artifact comes from the ir_passes binary).
+    // baseline comes from `snetctl bench run ir_passes`).
     let mut g = c.benchmark_group("ir_passes");
     let n = 64usize;
     for (name, net) in zoo(n) {

@@ -3,9 +3,9 @@
 //! feasibility), single-budget refutation rounds, and the per-layer
 //! compiled 0-1 set application that forms the DFS inner loop.
 //!
-//! `snet-bench/src/bin/search_frontier.rs` runs the same scenarios once
-//! and records states/sec and transposition hit rates to
-//! `results/search_frontier.json`.
+//! `snetctl bench run search_n7` (and its `search_*` siblings) runs the
+//! same scenarios once and records wall time, states/sec and
+//! transposition hit rates to `results/baselines/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use snet_core::prelude::{CompiledLayer, ZeroOneSet};

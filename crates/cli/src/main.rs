@@ -12,6 +12,7 @@
 //! snetctl render sorter.json
 //! ```
 
+mod bench;
 mod exit;
 mod file;
 
@@ -64,7 +65,7 @@ fn main() {
             Some("closure") => cmd_closure(&args[1..]),
             Some("duel") => cmd_duel(&args[1..]),
             Some("report") => cmd_report(&args[1..]),
-            Some("bench") => cmd_bench(&args[1..]),
+            Some("bench") => bench::cmd_bench(&args[1..]),
             Some("count") => cmd_count(&args[1..]),
             Some("store") => cmd_store(&args[1..]),
             Some("metrics") => cmd_metrics(&args[1..]),
@@ -179,7 +180,7 @@ fn print_usage() {
         "snetctl — comparator-network toolbox (shufflebound)\n\
          \n\
          commands:\n\
-         \x20 gen     --kind <bitonic|odd-even|pratt|periodic|brick|random-shuffle|randomized> \
+         \x20 gen     --kind <bitonic|odd-even|pratt|periodic|brick|random-shuffle|randomized|random-ird> \
          --n N [--depth D] [--seed S] -o FILE\n\
          \x20 info    FILE                     print wires/depth/size\n\
          \x20 check   FILE [--exhaustive [--threads W]] [--trials T] [--seed S] [--no-passes]\n\
@@ -202,6 +203,12 @@ fn print_usage() {
          \x20 report  TRACE.jsonl [--chrome OUT.json]\n\
          \x20         render a --trace-out file: span tree + counters + histograms;\n\
          \x20         --chrome exports Chrome trace-event JSON (chrome://tracing, Perfetto)\n\
+         \x20 bench   run NAME [--out DIR]\n\
+         \x20         run one baseline scenario (search_n5..n8, search_shuffle_n4,\n\
+         \x20         store_warm_n7, counter_atomic, counter_bitonic_w4/w8/w16,\n\
+         \x20         counter_periodic_w8, engine, ir_passes), check its results, and write\n\
+         \x20         DIR/NAME.json (default results/baselines); SNET_THREADS sets search\n\
+         \x20         workers, SNET_FLIGHT=0 runs it without the flight recorder\n\
          \x20 bench   diff NEW.json [--against OLD.json] [--fail-on-regress PCT]\n\
          \x20         compare a bench baseline (schema snet-bench-baseline/1) against a\n\
          \x20         stored one; exit code 8 if any metric regressed beyond PCT (default 10)\n\
@@ -277,6 +284,20 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let n: usize = parse(flag(args, "--n").ok_or("gen requires --n")?, "--n")?;
     let out = flag(args, "-o").ok_or("gen requires -o FILE")?;
     let seed: u64 = parse(flag(args, "--seed").unwrap_or("0"), "--seed")?;
+    // The shuffle-based kinds, the periodic layout and odd-even merging
+    // only exist on n = 2^l wires; the generators assert it.
+    let pow2_from = match kind {
+        "odd-even" => Some(1),
+        "bitonic" | "periodic" | "random-shuffle" | "randomized" | "random-ird" => Some(2),
+        _ => None,
+    };
+    match pow2_from {
+        Some(m) if !(n.is_power_of_two() && n >= m) => {
+            return Err(format!("--kind {kind} needs --n to be a power of two >= {m} (got {n})"));
+        }
+        None if n == 0 => return Err("--n must be at least 1".into()),
+        _ => {}
+    }
     let doc = match kind {
         "bitonic" => NetworkFile::from_shuffle(&bitonic_shuffle(n)),
         "odd-even" => NetworkFile::Circuit { network: odd_even_mergesort(n) },
@@ -1379,40 +1400,6 @@ fn merge_cross_process(
         merged.push(e);
     }
     (merged, anchored)
-}
-
-/// `bench diff NEW.json [--against OLD.json] [--fail-on-regress PCT]` —
-/// compares a fresh bench baseline against a stored one and exits with
-/// code 8 when any metric regressed beyond the threshold.
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("diff") => cmd_bench_diff(&args[1..]),
-        Some(other) => Err(format!("unknown bench subcommand '{other}' (try 'diff')")),
-        None => Err("bench requires a subcommand (try 'diff')".into()),
-    }
-}
-
-fn cmd_bench_diff(args: &[String]) -> Result<(), String> {
-    use snet_obs::baseline;
-    let new_path = args.first().ok_or("bench diff requires NEW.json")?;
-    let new = baseline::Baseline::load(std::path::Path::new(new_path))?;
-    let against = match flag(args, "--against") {
-        Some(p) => p.to_string(),
-        // Default reference: the committed seed baseline for this scenario.
-        None => format!("results/baselines/{}.json", new.name),
-    };
-    let old = baseline::Baseline::load(std::path::Path::new(&against))?;
-    let fail_pct: f64 =
-        parse(flag(args, "--fail-on-regress").unwrap_or("10"), "--fail-on-regress")?;
-    if old.name != new.name {
-        eprintln!("bench diff: comparing different scenarios ('{}' vs '{}')", old.name, new.name);
-    }
-    let d = baseline::diff(&old, &new, fail_pct);
-    print!("{}", baseline::render_diff(&old, &new, &d));
-    if !d.regressions().is_empty() {
-        exit_flushed(exit::BENCH_REGRESS);
-    }
-    Ok(())
 }
 
 fn cmd_closure(args: &[String]) -> Result<(), String> {

@@ -53,6 +53,37 @@ fn gen_info_check_roundtrip_bitonic() {
 }
 
 #[test]
+fn gen_rejects_sizes_each_kind_cannot_build() {
+    // (kind, an n it cannot build, an n it can): a bad n is a usage
+    // error, never a panic or a network of some other size.
+    let table = [
+        ("bitonic", "6", "8"),
+        ("odd-even", "6", "8"),
+        ("pratt", "0", "6"),
+        ("periodic", "6", "8"),
+        ("brick", "0", "6"),
+        ("random-shuffle", "6", "8"),
+        ("randomized", "6", "8"),
+        ("random-ird", "6", "8"),
+    ];
+    for (kind, bad, good) in table {
+        let f = tmpfile(&format!("gen-{kind}.json"));
+        let out = snetctl(&["gen", "--kind", kind, "--n", bad, "--depth", "2", "-o", &f]);
+        let err = String::from_utf8_lossy(&out.stderr).to_string();
+        assert_eq!(out.status.code(), Some(1), "{kind} --n {bad}: {err}");
+        assert!(err.starts_with("snetctl: ") && err.contains("--n"), "{kind} --n {bad}: {err}");
+        let out = snetctl(&["gen", "--kind", kind, "--n", good, "--depth", "2", "-o", &f]);
+        assert!(
+            out.status.success(),
+            "{kind} --n {good}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let wrote = format!("{good} wires");
+        assert!(stdout(&out).contains(&wrote), "{kind} --n {good}: {}", stdout(&out));
+    }
+}
+
+#[test]
 fn check_finds_counterexample_on_brick_prefix() {
     // A non-sorting circuit: the empty check via random trials must exit 3.
     let f = tmpfile("shallow.json");
@@ -675,7 +706,39 @@ fn bench_diff_rejects_malformed_baselines() {
 
     let out = snetctl(&["bench", "frobnicate"]);
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown bench subcommand"));
+    let err = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(err.contains("unknown bench subcommand"), "{err}");
+    assert!(err.contains("'run'") && err.contains("'diff'"), "{err}");
+}
+
+#[test]
+fn bench_run_writes_a_baseline_that_diffs_clean_against_itself() {
+    let dir = std::env::temp_dir().join(format!("snetctl-bench-run-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = snetctl(&["bench", "run", "counter_atomic", "--out", dir.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let file = dir.join("counter_atomic.json");
+    let text = std::fs::read_to_string(&file).expect("baseline written under --out");
+    assert!(text.contains("\"schema\": \"snet-bench-baseline/1\""), "{text}");
+    assert!(text.contains("\"wall_ms\"") && text.contains("\"ops_per_sec\""), "{text}");
+    let file = file.to_str().unwrap();
+    let out = snetctl(&["bench", "diff", file, "--against", file]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bench_run_rejects_unknown_scenarios_and_lists_the_known_ones() {
+    let out = snetctl(&["bench", "run", "nope"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(err.contains("unknown scenario 'nope'"), "{err}");
+    for name in ["search_n7", "search_n8", "store_warm_n7", "counter_bitonic_w8", "engine"] {
+        assert!(err.contains(name), "{name} missing from: {err}");
+    }
+    let out = snetctl(&["bench", "run"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("ir_passes"));
 }
 
 #[test]

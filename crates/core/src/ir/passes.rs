@@ -16,7 +16,7 @@
 //!
 //! Each [`PassManager::run`] returns one [`PassRecord`] per pass with
 //! before/after metrics and wall-clock cost, which is what the
-//! `ir_passes` bench and the CLI table report.
+//! `ir_passes` baseline scenario and the CLI table report.
 
 use super::program::{Op, Program};
 use crate::element::ElementKind;

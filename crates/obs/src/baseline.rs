@@ -1,4 +1,4 @@
-//! Perf baseline store: named metric sets written by the bench bins and
+//! Perf baseline store: named metric sets written by `snetctl bench run` and
 //! diffed across runs (`snetctl bench diff`).
 //!
 //! A baseline file is one JSON object (schema [`BASELINE_SCHEMA`])

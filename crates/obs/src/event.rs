@@ -134,7 +134,7 @@ pub(crate) fn fmt_f64(v: f64) -> String {
 }
 
 /// Appends `s` as a JSON string literal (quoted, escaped) to `out`.
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

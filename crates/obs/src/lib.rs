@@ -58,7 +58,7 @@ pub mod tracectx;
 
 pub use baseline::{Baseline, BaselineDiff, BASELINE_SCHEMA};
 pub use chrome::{to_chrome_trace, trace_to_chrome};
-pub use event::{Event, EventKind};
+pub use event::{write_json_string, Event, EventKind};
 pub use flight::{arm_fault_after, dump_flight, flight_snapshot, DEFAULT_RING_BYTES};
 pub use hist::{HistSnapshot, Histogram, ShardedCounter};
 pub use manifest::{RunManifest, MANIFEST_SCHEMA};

@@ -22,7 +22,7 @@
 //! deadlock the drain); it only touches its own mutexes.
 
 use snet_obs::tracectx::{TraceContext, TRACE_HEADER};
-use snet_obs::{Event, EventKind, Sink, TraceId};
+use snet_obs::{write_json_string, Event, EventKind, Sink, TraceId};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -451,21 +451,9 @@ fn push_str_field(out: &mut String, key: &str, value: &str, first: bool) {
     if !first {
         out.push(',');
     }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    write_json_string(out, key);
+    out.push(':');
+    write_json_string(out, value);
 }
 
 // ---------------------------------------------------------------------------
@@ -620,5 +608,24 @@ mod tests {
         assert!(lines[0].starts_with(&format!("{{\"schema\":\"{ACCESS_SCHEMA}\"")));
         assert!(lines[0].contains("\"cache\":\"miss\"") && lines[0].contains("\"job\":\"job-0\""));
         assert!(lines[1].contains("\"link\":\"abc\""));
+    }
+
+    #[test]
+    fn access_log_escapes_hostile_request_paths() {
+        let dir = std::env::temp_dir().join("snetd-telemetry-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("access-escape-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let log = AccessLog::open(&path).unwrap();
+        let endpoint = "/v1/\"quoted\"\\back\u{1}slash";
+        log.log(1, "abc", "GET", endpoint, 404, None, None, None, 0, 3, None);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(text.lines().count(), 1, "control bytes must not split the line");
+        let line: serde_json::Value = serde_json::from_str(text.trim_end()).expect("valid JSON");
+        let serde_json::Value::Object(fields) = line else { panic!("not an object: {text}") };
+        let parsed = fields.iter().find(|(k, _)| k == "endpoint").map(|(_, v)| v);
+        assert_eq!(parsed, Some(&serde_json::Value::String(endpoint.to_string())));
+        assert!(text.contains("\\u0001"), "{text}");
     }
 }
