@@ -691,7 +691,7 @@ fn search_stats_table(outcome: &snet_search::SearchOutcome) -> String {
             ("transposition hits", t.tt_hits),
             ("subsumed children", t.subsumed),
             ("no-op layer skips", t.noop_skips),
-            ("witness fast-path skips", t.witness_skips),
+            ("last-layer moves ruled out", t.witness_skips),
         ],
     ));
     out.push('\n');

@@ -176,7 +176,7 @@ impl ZeroOneSet {
     /// Drives the admissible collapse bound: a single comparator layer
     /// with `c` comparators merges at most `2^c` vectors onto one.
     pub fn max_class_len(&self) -> usize {
-        let mut counts = vec![0usize; self.n + 1];
+        let mut counts = [0usize; MAX_WIRES + 1];
         for x in self.iter() {
             counts[x.count_ones() as usize] += 1;
         }

@@ -128,7 +128,7 @@ fn help_for(dotted: &str) -> &'static str {
         "search.oracle.cut" => "Branches cut by the depth oracle",
         "search.subsumed" => "Prefixes pruned by subsumption",
         "search.noop.skip" => "No-op comparator placements skipped",
-        "search.witness.skip" => "Placements skipped by witness filtering",
+        "search.witness.skip" => "Last-layer moves ruled out by the sorting-move table",
         "search.task.nodes" => "Nodes expanded per search task",
         "search.task.us" => "Wall microseconds per search task",
         "search.cancelled" => "Search runs stopped by a cancel token",

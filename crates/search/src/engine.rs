@@ -22,12 +22,19 @@
 //! 3. the **transposition table** — canonical state (lexicographic
 //!    minimum of the state and, in unrestricted mode, its dual) known to
 //!    fail at least this budget;
-//! 4. **no-op skipping** — children whose layer leaves the state
+//! 4. the **sorting-move table** — with one layer left, the moves that
+//!    sort the state are the AND of its members' rows in a
+//!    [`SortingMoveTable`] built once per search; the lowest set bit is
+//!    the move a scan in id order would find first;
+//! 5. **no-op skipping** — children whose layer leaves the state
 //!    unchanged (a minimal solution never needs such a layer);
-//! 5. **subsumption** — a child whose state contains another child's
+//! 6. **subsumption** — a child whose state contains another child's
 //!    state is dominated: any suffix sorting the superset sorts the
 //!    subset. Children are kept `⊆`-minimal, ties broken by lowest move
 //!    id, and visited in `(|state|, id)` order.
+//!
+//! Children are expanded into per-depth pools a worker reuses for its
+//! whole round, so expanding a node allocates nothing.
 //!
 //! # Determinism
 //!
@@ -60,6 +67,7 @@ use snet_topology::ShuffleNetwork;
 
 use crate::layers::{
     canonical_first_layer, second_layer_reps, shuffle_first_stages, Layer, MoveSet,
+    SortingMoveTable,
 };
 use crate::tt::TransTable;
 
@@ -186,8 +194,9 @@ pub struct SearchStats {
     pub subsumed: u64,
     /// Children skipped because their layer left the state unchanged.
     pub noop_skips: u64,
-    /// Last-layer candidates rejected by the single-witness fast path
-    /// (the move could not even fix one unsorted vector).
+    /// Last-layer moves ruled out by the sorting-move table: every move
+    /// at a refuted last-layer node, and the moves below the one returned
+    /// at a satisfied one.
     pub witness_skips: u64,
     /// New transposition facts dropped because their shard was full.
     pub tt_evicts: u64,
@@ -413,6 +422,7 @@ pub fn search(cfg: &SearchConfig) -> SearchOutcome {
         .iter()
         .map(|layer| CompiledLayer::compile(cfg.n, moves.route.as_ref(), &layer.elements))
         .collect();
+    let sorting = SortingMoveTable::new(cfg.n, &moves);
 
     let mut rounds = Vec::new();
     let mut totals = SearchStats::default();
@@ -433,8 +443,8 @@ pub fn search(cfg: &SearchConfig) -> SearchOutcome {
         round_span.add_attr("tasks", task_count);
         let (winner, mut stats, round_hists, workers) = run_round(
             cfg,
-            &moves,
             &compiled,
+            &sorting,
             &oracle,
             &tt,
             budget,
@@ -623,8 +633,8 @@ fn prefix_tasks(
 #[allow(clippy::too_many_arguments)]
 fn run_round(
     cfg: &SearchConfig,
-    moves: &MoveSet,
     compiled: &[CompiledLayer],
+    sorting: &SortingMoveTable,
     oracle: &DepthOracle,
     tt: &TransTable,
     budget: usize,
@@ -669,18 +679,19 @@ fn run_round(
                 let mut worker_span = snet_obs::span_under("search.worker", round_span_id);
                 worker_span.add_attr("worker", worker_index);
                 let mut worker = TaskWorker {
-                    moves,
                     compiled,
+                    sorting,
                     oracle,
                     tt,
                     best,
                     cancel,
                     my_index: usize::MAX,
                     use_dual: cfg.mode == SearchMode::Unrestricted,
-                    tmp: ZeroOneSet::empty(cfg.n),
                     scratch: ZeroOneSet::empty(cfg.n),
                     dual_scratch: ZeroOneSet::empty(cfg.n),
                     keybuf: Vec::new(),
+                    movebuf: Vec::new(),
+                    pools: (0..=budget).map(|_| ChildPool::default()).collect(),
                     stats: SearchStats::default(),
                 };
                 while let Some(task) =
@@ -775,40 +786,30 @@ fn next_task(
     }
 }
 
-/// Applies one move to a single vector index: route the index bits, then
-/// run the layer's elements. Used to pre-filter candidate last layers
-/// against one unsorted witness before paying for a full set application.
-fn apply_move_to_index(moves: &MoveSet, id: u32, n: usize, x: u64) -> u64 {
-    let mut y = x;
-    if let Some(route) = &moves.route {
-        let images = route.images();
-        let mut r = 0u64;
-        for (w, &img) in images.iter().enumerate().take(n) {
-            if (y >> w) & 1 == 1 {
-                r |= 1 << img;
-            }
-        }
-        y = r;
-    }
-    for e in &moves.moves[id as usize].elements {
-        y = ZeroOneSet::apply_element_to_index(y, e);
-    }
-    y
+/// One DFS level's reusable child storage: the sets, and the
+/// `(|child|, move id, slot)` visiting order. A worker keeps one pool per
+/// remaining depth, so expansion allocates nothing once the pools warm.
+#[derive(Default)]
+struct ChildPool {
+    sets: Vec<ZeroOneSet>,
+    order: Vec<(u32, u32, u32)>,
 }
 
 struct TaskWorker<'a> {
-    moves: &'a MoveSet,
     compiled: &'a [CompiledLayer],
+    sorting: &'a SortingMoveTable,
     oracle: &'a DepthOracle,
     tt: &'a TransTable,
     best: &'a AtomicUsize,
     cancel: &'a CancelToken,
     my_index: usize,
     use_dual: bool,
-    tmp: ZeroOneSet,
     scratch: ZeroOneSet,
     dual_scratch: ZeroOneSet,
     keybuf: Vec<u64>,
+    movebuf: Vec<u64>,
+    /// Indexed by remaining depth; taken out around each expansion.
+    pools: Vec<ChildPool>,
     stats: SearchStats,
 }
 
@@ -862,25 +863,15 @@ impl TaskWorker<'_> {
         self.stats.tt_misses += 1;
 
         if remaining == 1 {
-            // Last layer: a single candidate layer must sort the state.
-            // Pre-filter against one unsorted witness vector — a move
-            // that cannot fix the witness cannot sort the set — and only
-            // pay the full application for survivors.
-            let n = state.wires();
-            let witness = state
-                .iter()
-                .find(|&x| x != ZeroOneSet::sorted_index(n, x.count_ones() as usize))
-                .expect("state is not sorted-only");
-            for id in 0..self.moves.moves.len() as u32 {
-                let y = apply_move_to_index(self.moves, id, n, witness);
-                if y != ZeroOneSet::sorted_index(n, y.count_ones() as usize) {
-                    self.stats.witness_skips += 1;
-                    continue;
-                }
-                self.compiled[id as usize].apply(state, &mut self.tmp, &mut self.scratch);
-                if self.tmp.is_sorted_only() {
+            // Last layer: a move sorts the state iff it sorts every member,
+            // so the table's row intersection holds exactly the sorting
+            // moves, and its lowest bit is the lowest-id one.
+            match self.sorting.first_sorting_move(state, &mut self.movebuf) {
+                Some(id) => {
+                    self.stats.witness_skips += u64::from(id);
                     return Dfs::Sat(vec![id]);
                 }
+                None => self.stats.witness_skips += self.compiled.len() as u64,
             }
             self.compute_key(state);
             if self.tt.record_failure(&self.keybuf, 1) {
@@ -889,40 +880,58 @@ impl TaskWorker<'_> {
             return Dfs::Unsat;
         }
 
-        // Expand children, skipping layers that do not change the state.
-        let mut children: Vec<(u32, ZeroOneSet)> = Vec::new();
-        for id in 0..self.moves.moves.len() as u32 {
-            self.compiled[id as usize].apply(state, &mut self.tmp, &mut self.scratch);
-            if self.tmp == *state {
+        // Expand children into this depth's pool, skipping layers that do
+        // not change the state.
+        let mut pool = std::mem::take(&mut self.pools[remaining]);
+        if pool.sets.is_empty() {
+            pool.sets = vec![ZeroOneSet::empty(state.wires()); self.compiled.len()];
+        }
+        pool.order.clear();
+        for (id, layer) in self.compiled.iter().enumerate() {
+            let slot = pool.order.len();
+            let child = &mut pool.sets[slot];
+            layer.apply(state, child, &mut self.scratch);
+            if child == state {
                 self.stats.noop_skips += 1;
                 continue;
             }
-            children.push((id, self.tmp.clone()));
+            pool.order.push((child.len() as u32, id as u32, slot as u32));
         }
         // Keep ⊆-minimal children: visiting order is (|state|, move id),
         // and since a subset has at most the superset's cardinality, each
-        // child only needs checking against already-kept ones.
-        children.sort_by_key(|(id, s)| (s.len(), *id));
-        let mut kept: Vec<(u32, ZeroOneSet)> = Vec::new();
-        'next_child: for (id, s) in children {
-            for (_, k) in &kept {
-                if k.is_subset(&s) {
-                    self.stats.subsumed += 1;
-                    continue 'next_child;
-                }
+        // child only needs checking against already-kept ones, which are
+        // compacted to the front of `order`.
+        pool.order.sort_unstable();
+        let mut kept = 0;
+        for i in 0..pool.order.len() {
+            let child = &pool.sets[pool.order[i].2 as usize];
+            if pool.order[..kept].iter().any(|&(_, _, k)| pool.sets[k as usize].is_subset(child)) {
+                self.stats.subsumed += 1;
+            } else {
+                pool.order[kept] = pool.order[i];
+                kept += 1;
             }
-            kept.push((id, s));
         }
+        pool.order.truncate(kept);
 
-        for (id, child) in &kept {
-            match self.dfs(child, used + 1, remaining - 1) {
+        let mut outcome = Dfs::Unsat;
+        for &(_, id, slot) in &pool.order {
+            match self.dfs(&pool.sets[slot as usize], used + 1, remaining - 1) {
                 Dfs::Sat(mut suffix) => {
-                    suffix.insert(0, *id);
-                    return Dfs::Sat(suffix);
+                    suffix.insert(0, id);
+                    outcome = Dfs::Sat(suffix);
+                    break;
                 }
                 Dfs::Unsat => {}
-                Dfs::Aborted => return Dfs::Aborted,
+                Dfs::Aborted => {
+                    outcome = Dfs::Aborted;
+                    break;
+                }
             }
+        }
+        self.pools[remaining] = pool;
+        if !matches!(outcome, Dfs::Unsat) {
+            return outcome;
         }
         // All children refuted with budget `remaining - 1`; the state
         // itself is refuted at `remaining`. Aborted subtrees never reach

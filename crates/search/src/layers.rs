@@ -33,6 +33,7 @@
 
 use snet_core::element::{Element, ElementKind};
 use snet_core::perm::Permutation;
+use snet_core::zeroone::ZeroOneSet;
 use snet_topology::ShuffleNetwork;
 
 /// One candidate layer: the elements applied to the state (after the
@@ -94,6 +95,79 @@ impl MoveSet {
             .map(Layer::of_stage)
             .collect();
         MoveSet { route: Some(Permutation::shuffle(n)), moves }
+    }
+
+    /// Applies move `id` to the single vector index `x`: route the index
+    /// bits, then run the layer's elements.
+    pub fn apply_to_index(&self, id: u32, x: u64) -> u64 {
+        let mut y = x;
+        if let Some(route) = &self.route {
+            let mut r = 0u64;
+            for (w, &img) in route.images().iter().enumerate() {
+                r |= ((y >> w) & 1) << img;
+            }
+            y = r;
+        }
+        for e in &self.moves[id as usize].elements {
+            y = ZeroOneSet::apply_element_to_index(y, e);
+        }
+        y
+    }
+}
+
+/// The last-layer oracle: for every vector index `x` of the `2^n` cube,
+/// the bitset of move ids that map `x` to a sorted vector. One move sorts
+/// a state iff it sorts every member, so the moves that sort a state are
+/// the AND of its members' rows — a final layer is found (or ruled out)
+/// by table lookup instead of one set application per candidate.
+#[derive(Debug, Clone)]
+pub struct SortingMoveTable {
+    row_words: usize,
+    rows: Vec<u64>,
+}
+
+impl SortingMoveTable {
+    /// Builds the table for `moves` on `n` wires (`2^n` rows of
+    /// `⌈moves / 64⌉` words; 128 × 4 at `n = 7`, 256 × 12 at `n = 8`).
+    pub fn new(n: usize, moves: &MoveSet) -> Self {
+        let row_words = moves.moves.len().div_ceil(64);
+        let mut rows = vec![0u64; row_words << n];
+        for x in 0..1u64 << n {
+            let row = &mut rows[x as usize * row_words..][..row_words];
+            for id in 0..moves.moves.len() as u32 {
+                let y = moves.apply_to_index(id, x);
+                if y == ZeroOneSet::sorted_index(n, y.count_ones() as usize) {
+                    row[id as usize >> 6] |= 1 << (id & 63);
+                }
+            }
+        }
+        SortingMoveTable { row_words, rows }
+    }
+
+    /// Fills `acc` with the bitset of move ids that map every member of
+    /// the non-empty `state` to a sorted vector (bit `id & 63` of word
+    /// `id >> 6`), stopping as soon as the intersection is empty.
+    pub fn sorting_moves(&self, state: &ZeroOneSet, acc: &mut Vec<u64>) {
+        debug_assert!(!state.is_empty(), "reachable sets are never empty");
+        acc.clear();
+        acc.resize(self.row_words, u64::MAX);
+        for x in state.iter() {
+            let row = &self.rows[x as usize * self.row_words..][..self.row_words];
+            let mut any = 0;
+            for (a, &r) in acc.iter_mut().zip(row) {
+                *a &= r;
+                any |= *a;
+            }
+            if any == 0 {
+                return;
+            }
+        }
+    }
+
+    /// The lowest move id that sorts `state`, if any (`acc` is scratch).
+    pub fn first_sorting_move(&self, state: &ZeroOneSet, acc: &mut Vec<u64>) -> Option<u32> {
+        self.sorting_moves(state, acc);
+        acc.iter().position(|&w| w != 0).map(|i| (i as u32) << 6 | acc[i].trailing_zeros())
     }
 }
 
@@ -278,6 +352,59 @@ mod tests {
                 assert!(rep_canons.contains(&canon(&m)), "n={n}: orbit of {m:?} unrepresented");
             }
         }
+    }
+
+    #[test]
+    fn sorting_move_table_agrees_with_set_application() {
+        use snet_core::zeroone::CompiledLayer;
+        // Seeded xorshift: the property is checked on the same states
+        // every run.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let models = (2..=7usize)
+            .map(|n| (n, MoveSet::unrestricted(n)))
+            .chain([4usize, 8].map(|n| (n, MoveSet::shuffle_legal(n))));
+        let mut outcomes = [0usize; 2];
+        for (n, moves) in models {
+            let table = SortingMoveTable::new(n, &moves);
+            let compiled: Vec<CompiledLayer> = moves
+                .moves
+                .iter()
+                .map(|l| CompiledLayer::compile(n, moves.route.as_ref(), &l.elements))
+                .collect();
+            let (mut image, mut scratch) = (ZeroOneSet::empty(n), ZeroOneSet::empty(n));
+            let mut acc = Vec::new();
+            for trial in 0..120 {
+                // Reachable-style states: the sorted vectors plus a few
+                // (or, every third trial, about half) of the other vectors.
+                let mut state = ZeroOneSet::sorted_only(n);
+                let cube = 1u64 << n;
+                if trial % 3 == 2 {
+                    (0..cube).filter(|_| next() & 1 == 1).for_each(|x| state.insert(x));
+                } else {
+                    (0..next() % (n as u64 + 1)).for_each(|_| state.insert(next() % cube));
+                }
+                table.sorting_moves(&state, &mut acc);
+                let mut first = None;
+                for (id, layer) in compiled.iter().enumerate() {
+                    layer.apply(&state, &mut image, &mut scratch);
+                    let sorts = image.is_sorted_only();
+                    let listed = (acc[id >> 6] >> (id & 63)) & 1 == 1;
+                    assert_eq!(listed, sorts, "n={n} move {id} on {:?}", state.words());
+                    if sorts && first.is_none() {
+                        first = Some(id as u32);
+                    }
+                    outcomes[sorts as usize] += 1;
+                }
+                assert_eq!(table.first_sorting_move(&state, &mut acc), first, "n={n}");
+            }
+        }
+        assert!(outcomes[0] > 0 && outcomes[1] > 0, "both verdicts exercised: {outcomes:?}");
     }
 
     #[test]

@@ -45,12 +45,16 @@ impl TransTable {
 
     fn shard_of(key: &[u64]) -> usize {
         // FNV-1a over the words; only shard selection, the map hashes again.
+        // The shard comes from the top bits: the low bits of a product
+        // depend only on the low bits of its factors, so `h % SHARDS`
+        // would see just the low bits of each word — and those are nearly
+        // constant across reachable sets (vector 0 is always a member).
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &w in key {
             h ^= w;
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
-        (h % SHARDS as u64) as usize
+        (h >> (64 - SHARDS.trailing_zeros())) as usize
     }
 
     /// The deepest budget `key` is known to fail, if any.
@@ -152,6 +156,26 @@ mod tests {
         // Existing entries still deepen after the cap is hit.
         assert!(tt.record_failure(&stored[0], 7));
         assert_eq!(tt.failed_budget(&stored[0]), Some(7));
+    }
+
+    #[test]
+    fn keys_differing_only_in_high_word_bits_spread_over_shards() {
+        // Reachable-set keys share their low bits (vector 0 is always a
+        // member), so the shard must depend on the high bits too.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut used = [false; SHARDS];
+        for _ in 0..1024 {
+            let mut key = [0u64; 2];
+            for w in &mut key {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                *w = (x << 7) | 1;
+            }
+            used[TransTable::shard_of(&key)] = true;
+        }
+        let spread = used.iter().filter(|&&u| u).count();
+        assert!(spread >= 32, "1024 keys landed in only {spread} of {SHARDS} shards");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! are release-only: debug builds skip them via `cfg_attr(debug_assertions,
 //! ignore)`, CI runs them under `cargo test --release`.
 
+use snet_core::element::ElementKind::{self, Cmp, CmpRev};
 use snet_search::{search, SearchConfig, SearchMode};
 
 fn config(n: usize, mode: SearchMode, threads: usize) -> SearchConfig {
@@ -46,6 +47,85 @@ fn unrestricted_optimal_depth_n7() {
 #[cfg_attr(debug_assertions, ignore = "release-only: deep refutation rounds")]
 fn unrestricted_optimal_depth_n8() {
     assert_optimal(8, SearchMode::Unrestricted, 6);
+}
+
+/// Comparator pairs `(a, b)` of each level of the unrestricted witness.
+type Pairs = &'static [&'static [(u32, u32)]];
+
+/// The unrestricted witnesses the lowest-index rule picks, pinned so a
+/// change to the DFS kernel cannot silently change the found network.
+const WITNESSES: [(usize, Pairs); 5] = [
+    (3, &[&[(0, 1)], &[(0, 2)], &[(1, 2)]]),
+    (4, &[&[(0, 1), (2, 3)], &[(0, 2), (1, 3)], &[(1, 2)]]),
+    (
+        5,
+        &[
+            &[(0, 1), (2, 3)],
+            &[(0, 1), (2, 4)],
+            &[(1, 2), (3, 4)],
+            &[(0, 3), (2, 4)],
+            &[(0, 1), (2, 3)],
+        ],
+    ),
+    (
+        6,
+        &[
+            &[(0, 1), (2, 3), (4, 5)],
+            &[(0, 1), (2, 4), (3, 5)],
+            &[(0, 2), (1, 5), (3, 4)],
+            &[(1, 3), (2, 4)],
+            &[(1, 2), (3, 4)],
+        ],
+    ),
+    (
+        7,
+        &[
+            &[(0, 1), (2, 3), (4, 5)],
+            &[(0, 1), (2, 4), (3, 5)],
+            &[(0, 2), (1, 3), (4, 6)],
+            &[(1, 2), (3, 4), (5, 6)],
+            &[(1, 3), (2, 5), (4, 6)],
+            &[(0, 1), (2, 3), (4, 5)],
+        ],
+    ),
+];
+
+fn assert_pinned_witness(n: usize) {
+    let (_, expect) = WITNESSES.iter().find(|(m, _)| *m == n).expect("pinned size");
+    let net = search(&config(n, SearchMode::Unrestricted, 2)).network.expect("witness present");
+    let levels: Vec<Vec<(u32, u32)>> = net
+        .levels()
+        .iter()
+        .map(|level| {
+            assert!(level.route.is_none() && level.elements.iter().all(|e| e.kind == Cmp));
+            level.elements.iter().map(|e| (e.a, e.b)).collect()
+        })
+        .collect();
+    assert_eq!(levels, *expect, "n={n}: the lowest-index witness moved");
+}
+
+#[test]
+fn unrestricted_witnesses_are_pinned() {
+    for n in 3..=6 {
+        assert_pinned_witness(n);
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: deep refutation rounds")]
+fn unrestricted_witness_n7_is_pinned() {
+    assert_pinned_witness(7);
+}
+
+#[test]
+fn shuffle_legal_witnesses_are_pinned() {
+    let pinned: [(usize, &[&[ElementKind]]); 2] =
+        [(2, &[&[Cmp]]), (4, &[&[Cmp, CmpRev], &[Cmp, Cmp], &[Cmp, Cmp]])];
+    for (n, expect) in pinned {
+        let out = search(&config(n, SearchMode::ShuffleLegal, 2));
+        let stages = out.shuffle.expect("shuffle witness present");
+        assert_eq!(stages.stages(), expect, "n={n}: the lowest-index witness moved");
+    }
 }
 
 #[test]
